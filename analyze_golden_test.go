@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -62,12 +63,15 @@ func TestGoldenAnalyze(t *testing.T) {
 	checkGolden(t, "analyze", b.String())
 }
 
-// BenchmarkProfileOverhead measures the real wall-clock cost of profiling
-// a statement: TPC-H Q5 executed with profiling off and on, min-of-reps so
-// scheduler noise cancels. The budget is <5% — instrumentation is a
-// per-batch span push/pop and a handful of float adds against the
-// simulated-arithmetic-heavy executor, so the overhead must stay in the
-// noise. The benchmark fails when the budget is exceeded.
+// BenchmarkProfileOverhead enforces the profiling wall-clock budget on a
+// statement: TPC-H Q5 executed with profiling off and on. Repetitions
+// alternate between the two arms (and which arm goes first), so drift in
+// host speed lands on both equally, and the gate compares medians; the
+// spread between quartiles is logged so a reader can see whether the
+// measured overhead stands above the noise. The budget is <5% —
+// instrumentation is a per-batch span push/pop and a handful of float adds
+// against the simulated-arithmetic-heavy executor, so the overhead must
+// stay in the noise. The benchmark fails when the budget is exceeded.
 func BenchmarkProfileOverhead(b *testing.B) {
 	m := system.NewSUT()
 	e := engine.New(engine.ProfileMySQLMemory(), m)
@@ -75,34 +79,47 @@ func BenchmarkProfileOverhead(b *testing.B) {
 		tpch.Region, tpch.Nation, tpch.Supplier, tpch.Customer, tpch.Orders, tpch.Lineitem)
 	q5 := tpch.Q5(e.Catalog(), "ASIA", 1994)
 
-	const reps = 7
-	best := func(profiling bool) time.Duration {
+	run := func(profiling bool) time.Duration {
 		e.SetProfiling(profiling)
-		min := time.Duration(1<<63 - 1)
-		for r := 0; r < reps; r++ {
-			t0 := time.Now()
-			e.Query(q5).Close()
-			if d := time.Since(t0); d < min {
-				min = d
+		t0 := time.Now()
+		e.Query(q5).Close()
+		return time.Since(t0)
+	}
+	run(false) // warm code paths and allocator before measuring
+	run(true)
+
+	const pairs = 50
+	var off, on []time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for r := 0; r < pairs; r++ {
+			if r%2 == 0 {
+				off = append(off, run(false))
+				on = append(on, run(true))
+			} else {
+				on = append(on, run(true))
+				off = append(off, run(false))
 			}
 		}
-		return min
-	}
-	best(false) // warm code paths and allocator before measuring
-
-	b.ResetTimer()
-	var off, on time.Duration
-	for i := 0; i < b.N; i++ {
-		off = best(false)
-		on = best(true)
 	}
 	b.StopTimer()
 
-	overhead := 100 * (float64(on)/float64(off) - 1)
+	offQ, onQ := quartiles(off), quartiles(on)
+	overhead := 100 * (float64(onQ[1])/float64(offQ[1]) - 1)
 	b.ReportMetric(overhead, "overhead-%")
-	b.Logf("profiling off %v, on %v, overhead %.2f%%", off, on, overhead)
+	b.Logf("profiling off median %v (IQR %v), on median %v (IQR %v), overhead %.2f%% over %d pairs",
+		offQ[1], offQ[2]-offQ[0], onQ[1], onQ[2]-onQ[0], overhead, len(off))
 	if overhead >= 5 {
-		b.Fatalf("profiling overhead %.2f%% exceeds the 5%% budget (off %v, on %v)",
-			overhead, off, on)
+		b.Fatalf("profiling overhead %.2f%% exceeds the 5%% budget (median off %v, on %v)",
+			overhead, offQ[1], onQ[1])
 	}
+}
+
+// quartiles returns the lower quartile, median, and upper quartile of ds
+// (nearest rank on a sorted copy).
+func quartiles(ds []time.Duration) [3]time.Duration {
+	s := append([]time.Duration(nil), ds...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	at := func(p float64) time.Duration { return s[int(p*float64(len(s)-1)+0.5)] }
+	return [3]time.Duration{at(0.25), at(0.5), at(0.75)}
 }

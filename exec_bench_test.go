@@ -116,9 +116,9 @@ func BenchmarkScanRowVsBatch(b *testing.B) {
 // BenchmarkColumnarFilter measures the scan→filter hot path on the TPC-H
 // band-selection shape (l_quantity BETWEEN): the row-major baseline — the
 // pre-columnar engine's per-tuple interpreted loop over row-major pages —
-// against the columnar executor's typed-payload selection loops. The
-// acceptance bar for the columnar representation is ≥1.5× on this path;
-// observed is far above it.
+// against the columnar executor's typed-payload selection loops. It
+// reports both arms and enforces no bar; the columnar arm has run ~9×
+// faster on a 2-core x86-64 host.
 func BenchmarkColumnarFilter(b *testing.B) {
 	tb := benchTable(b)
 	pred := expr.Between{E: tb.Schema.Col("l_quantity"),

@@ -5,6 +5,7 @@ import (
 
 	"ecodb/internal/expr"
 	"ecodb/internal/hw/system"
+	"ecodb/internal/obsv"
 	"ecodb/internal/plan"
 	"ecodb/internal/tpch"
 )
@@ -348,60 +349,76 @@ func TestSimulationInvariantAcrossWorkerCounts(t *testing.T) {
 
 func TestParallelAggSimulationInvariantAcrossWorkerCounts(t *testing.T) {
 	// Profile.Workers routes Agg(fragment) plans through the parallel
-	// pre-aggregation path; the grouped revenue query must leave rows,
-	// stats, and charged cycles bit-identical at every worker count, on
-	// the disk-backed profile with background I/O live.
-	aggPlan := func(e *Engine) plan.Node {
-		li := e.MustTable(tpch.Lineitem)
-		price, disc := li.Schema.Col("l_extendedprice"), li.Schema.Col("l_discount")
-		revenue := expr.Arith{Op: expr.Mul, L: price,
-			R: expr.Arith{Op: expr.Sub, L: expr.Const{V: expr.Float(1)}, R: disc}}
-		return plan.NewAgg(
-			plan.NewScan(li, expr.Cmp{Op: expr.LT, L: li.Schema.Col("l_quantity"), R: expr.Const{V: expr.Int(40)}}),
-			[]int{li.Schema.MustIndex("l_quantity")},
-			[]plan.AggSpec{
-				{Func: plan.Sum, Arg: revenue, Name: "revenue"},
-				{Func: plan.Avg, Arg: revenue, Name: "avg_rev"},
-				{Func: plan.Count, Name: "n"},
-			})
+	// pre-aggregation path and Sort(fragment) plans through worker-side run
+	// generation plus a loser-tree merge. Both must leave rows, stats, and
+	// charged cycles bit-identical at every worker count, on the
+	// disk-backed profile with background I/O live.
+	cases := []struct {
+		name  string
+		query func(*Engine) plan.Node
+		sort  bool
+	}{
+		{"agg", func(e *Engine) plan.Node { return tpch.RevenueByQuantityQuery(e.Catalog(), 40) }, false},
+		{"sort", func(e *Engine) plan.Node { return tpch.OrderedRevenueQuery(e.Catalog(), 40) }, true},
 	}
 	type run struct {
-		rows   []expr.Row
-		stats  ExecStats
-		cycles float64
+		rows                  []expr.Row
+		stats                 ExecStats
+		cycles                float64
+		sortRows, mergePasses int64
 	}
-	exec := func(workers int) run {
-		prof := ProfileCommercial()
-		prof.Workers = workers
-		e, m := newEngine(t, prof, 0.01)
-		e.WarmAll()
-		res, st := e.Exec(aggPlan(e))
-		return run{rows: res.Rows, stats: st, cycles: m.CPUModel().Stats().Cycles}
-	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exec := func(workers int) run {
+				prof := ProfileCommercial()
+				prof.Workers = workers
+				e, m := newEngine(t, prof, 0.01)
+				e.WarmAll()
+				s0, p0 := obsv.SortRows.Load(), obsv.MergePasses.Load()
+				res, st := e.Exec(tc.query(e))
+				return run{rows: res.Rows, stats: st, cycles: m.CPUModel().Stats().Cycles,
+					sortRows: obsv.SortRows.Load() - s0, mergePasses: obsv.MergePasses.Load() - p0}
+			}
 
-	base := exec(1)
-	if len(base.rows) == 0 {
-		t.Fatal("grouped aggregation returned no rows")
-	}
-	for _, w := range []int{2, 4} {
-		got := exec(w)
-		if len(got.rows) != len(base.rows) {
-			t.Fatalf("workers=%d: %d rows, want %d", w, len(got.rows), len(base.rows))
-		}
-		for i := range got.rows {
-			for c := range got.rows[i] {
-				if got.rows[i][c] != base.rows[i][c] {
-					t.Fatalf("workers=%d: row %d col %d: %v != %v",
-						w, i, c, got.rows[i][c], base.rows[i][c])
+			base := exec(1)
+			if len(base.rows) == 0 {
+				t.Fatal("query returned no rows")
+			}
+			if tc.sort && base.mergePasses != 0 {
+				t.Fatalf("workers=1: %d merge passes, want 0 (serial sort)", base.mergePasses)
+			}
+			for _, w := range []int{2, 4} {
+				got := exec(w)
+				if len(got.rows) != len(base.rows) {
+					t.Fatalf("workers=%d: %d rows, want %d", w, len(got.rows), len(base.rows))
+				}
+				for i := range got.rows {
+					for c := range got.rows[i] {
+						if got.rows[i][c] != base.rows[i][c] {
+							t.Fatalf("workers=%d: row %d col %d: %v != %v",
+								w, i, c, got.rows[i][c], base.rows[i][c])
+						}
+					}
+				}
+				if got.stats != base.stats {
+					t.Fatalf("workers=%d: stats differ:\n got %+v\nwant %+v", w, got.stats, base.stats)
+				}
+				if got.cycles != base.cycles {
+					t.Fatalf("workers=%d: charged cycles %v, want %v", w, got.cycles, base.cycles)
+				}
+				if !tc.sort {
+					continue
+				}
+				// The registry counters prove which path ran: every arm
+				// sorts the same rows, but only the parallel arms merge.
+				if got.mergePasses == 0 {
+					t.Fatalf("workers=%d: no merge passes — the parallel sort never engaged", w)
+				}
+				if got.sortRows != base.sortRows {
+					t.Fatalf("workers=%d: sorted %d rows, want %d", w, got.sortRows, base.sortRows)
 				}
 			}
-		}
-		if got.stats != base.stats {
-			t.Fatalf("workers=%d: stats differ:\n got %+v\nwant %+v", w, got.stats, base.stats)
-		}
-		if got.cycles != base.cycles {
-			t.Fatalf("workers=%d: charged cycles %v, want %v", w, got.cycles, base.cycles)
-		}
+		})
 	}
 }
 

@@ -22,9 +22,10 @@ const CompressionBands = 8
 // CompressionResult is the compressed-storage ablation: the mixed
 // range-plus-string workload replayed on plain storage versus with zone-map
 // pruning and dictionary-encoded strings enabled. Unlike the columnar
-// ablation this one is NOT charging-neutral — skipping a page really does
-// avoid its buffer-pool, streaming, and per-tuple charges (replacing them
-// with one zone-map consult), so the simulated joules and durations drop.
+// fast paths or worker counts, compression is NOT charging-neutral —
+// skipping a page really does avoid its buffer-pool, streaming, and
+// per-tuple charges (replacing them with one zone-map consult), so the
+// simulated joules and durations drop.
 // Query results must still be bit-identical: compression changes where
 // bytes live and which pages are touched, never what a query returns. With
 // both toggles false the treated arm also runs on plain storage — the

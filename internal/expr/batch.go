@@ -1,7 +1,5 @@
 package expr
 
-import "sync/atomic"
-
 // DefaultBatchCapacity is the default number of rows one execution batch
 // targets. It is large enough to amortize per-batch bookkeeping (cost
 // flushes, virtual dispatch into operators) over many tuples while keeping
@@ -145,21 +143,6 @@ func (b *Batch) RowBytes(li int) int64 {
 	return n
 }
 
-// rowAtATime disables the columnar fast paths, forcing FilterBatch and
-// EvalBatch through the per-row gather + interpreted-Eval fallback — the
-// row-at-a-time execution model over the same storage. Charged cycles are
-// identical either way (the fast paths charge exactly what Eval charges),
-// so toggling changes real wall-clock only; the `ecodb columnar` ablation
-// uses it as its row-major control arm.
-var rowAtATime atomic.Bool
-
-// SetRowAtATime toggles the row-at-a-time fallback. Toggle only while no
-// queries are executing.
-func SetRowAtATime(on bool) { rowAtATime.Store(on) }
-
-// RowAtATime reports whether the columnar fast paths are disabled.
-func RowAtATime() bool { return rowAtATime.Load() }
-
 // EvalBatch evaluates e over every logical row of in, writing one value
 // per row into dst (which is Reset first). Plain column references copy
 // the source vector payload instead of walking the interpreter per row,
@@ -167,19 +150,17 @@ func RowAtATime() bool { return rowAtATime.Load() }
 // row-at-a-time Eval.
 func EvalBatch(e Expr, in *Batch, dst *ColVec, cost *Cost) {
 	dst.Reset()
-	if !rowAtATime.Load() {
-		switch e := e.(type) {
-		case Col:
-			cost.Add(float64(in.Len()) * CyclesColRef)
-			dst.AppendFrom(&in.Cols[e.Idx], in.Sel)
-			return
-		case Const:
-			cost.Add(float64(in.Len()) * CyclesConst)
-			for li, n := 0, in.Len(); li < n; li++ {
-				dst.Append(e.V)
-			}
-			return
+	switch e := e.(type) {
+	case Col:
+		cost.Add(float64(in.Len()) * CyclesColRef)
+		dst.AppendFrom(&in.Cols[e.Idx], in.Sel)
+		return
+	case Const:
+		cost.Add(float64(in.Len()) * CyclesConst)
+		for li, n := 0, in.Len(); li < n; li++ {
+			dst.Append(e.V)
 		}
+		return
 	}
 	scratch := make(Row, len(in.Cols))
 	if in.Sel == nil {
@@ -209,22 +190,20 @@ func FilterBatch(pred Expr, in *Batch, sel []int32, cost *Cost) []int32 {
 	} else {
 		sel = sel[:0]
 	}
-	if !rowAtATime.Load() {
-		switch p := pred.(type) {
-		case Cmp:
-			if col, ok := p.L.(Col); ok {
-				if c, ok := p.R.(Const); ok {
-					return filterCmpColConst(p.Op, col.Idx, c.V, in, sel, cost)
-				}
+	switch p := pred.(type) {
+	case Cmp:
+		if col, ok := p.L.(Col); ok {
+			if c, ok := p.R.(Const); ok {
+				return filterCmpColConst(p.Op, col.Idx, c.V, in, sel, cost)
 			}
-		case Between:
-			if col, ok := p.E.(Col); ok {
-				return filterBetweenCol(col.Idx, p.Lo, p.Hi, in, sel, cost)
-			}
-		case *InHash:
-			if col, ok := p.E.(Col); ok {
-				return filterInHashCol(col.Idx, p.Set, in, sel, cost)
-			}
+		}
+	case Between:
+		if col, ok := p.E.(Col); ok {
+			return filterBetweenCol(col.Idx, p.Lo, p.Hi, in, sel, cost)
+		}
+	case *InHash:
+		if col, ok := p.E.(Col); ok {
+			return filterInHashCol(col.Idx, p.Set, in, sel, cost)
 		}
 	}
 	return filterGeneric(pred, in, sel, cost)

@@ -224,14 +224,18 @@ func bindAgg(stmt *SelectStmt, lg *plan.Logical, sc *scope) error {
 			} else if spec.Func != plan.Count {
 				return fmt.Errorf("sql: %s requires an argument", it.Agg)
 			}
+			kinds[i] = expr.KindInt
+			if spec.Func != plan.Count {
+				k, err := aggKind(it.Agg, spec.Func, kindOf(it.Expr, sc))
+				if err != nil {
+					return err
+				}
+				kinds[i] = k
+			}
 			pos := len(groupIdx) + len(specs)
 			specs = append(specs, spec)
 			exprs[i] = expr.Col{Idx: pos, Name: name}
 			names[i] = name
-			kinds[i] = expr.KindFloat
-			if spec.Func == plan.Count {
-				kinds[i] = expr.KindInt
-			}
 		default:
 			col, ok := it.Expr.(ColRef)
 			if !ok {
@@ -265,6 +269,20 @@ func bindAgg(stmt *SelectStmt, lg *plan.Logical, sc *scope) error {
 	}
 	lg.Project = &plan.ProjectSpec{Exprs: exprs, Names: names, Kinds: kinds}
 	return nil
+}
+
+// aggKind types a value aggregate's result from its argument's kind. SUM
+// and AVG accumulate in float, so they accept only numeric arguments; MIN
+// and MAX return one of their inputs, so they keep the argument's kind.
+func aggKind(name string, fn plan.AggFunc, arg expr.Kind) (expr.Kind, error) {
+	if fn == plan.Min || fn == plan.Max {
+		return arg, nil
+	}
+	switch arg {
+	case expr.KindInt, expr.KindFloat, expr.KindNull:
+		return expr.KindFloat, nil
+	}
+	return 0, fmt.Errorf("sql: %s needs a numeric argument, got %s", name, arg)
 }
 
 // bindProject binds a plain (non-aggregating) select list over the global

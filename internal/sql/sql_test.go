@@ -6,6 +6,7 @@ import (
 
 	"ecodb/internal/catalog"
 	"ecodb/internal/engine"
+	"ecodb/internal/expr"
 	"ecodb/internal/hw/system"
 	"ecodb/internal/tpch"
 )
@@ -256,7 +257,7 @@ func TestSQLProjectionAndAliases(t *testing.T) {
 func TestSQLAggregatesWithoutGroupBy(t *testing.T) {
 	m := system.NewSUT()
 	e := engine.New(engine.ProfileMySQLMemory(), m)
-	tpch.NewGenerator(0.01, 42).Load(e.Catalog(), tpch.Lineitem)
+	tpch.NewGenerator(0.01, 42).Load(e.Catalog(), tpch.Lineitem, tpch.Nation)
 
 	p, err := Plan(e.Catalog(), "SELECT COUNT(*) AS n, MIN(l_quantity) AS lo, MAX(l_quantity) AS hi FROM lineitem")
 	if err != nil {
@@ -274,11 +275,29 @@ func TestSQLAggregatesWithoutGroupBy(t *testing.T) {
 	if row[1].AsFloat() != 1 || row[2].AsFloat() != 50 {
 		t.Fatalf("min/max = %v/%v, want 1/50", row[1], row[2])
 	}
+	if k := p.Schema().Columns()[1].Kind; k != expr.KindInt {
+		t.Fatalf("MIN(l_quantity) declares %v, want int", k)
+	}
+
+	// MIN/MAX over a string column return a string and declare one.
+	p, err = Plan(e.Catalog(), "SELECT MIN(n_name) AS lo, MAX(n_name) AS hi FROM nation")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ = e.Exec(p)
+	if row := res.Rows[0]; row[0].S != "ALGERIA" || row[1].S != "VIETNAM" {
+		t.Fatalf("min/max(n_name) = %v/%v, want ALGERIA/VIETNAM", row[0], row[1])
+	}
+	for i, c := range p.Schema().Columns() {
+		if c.Kind != expr.KindString {
+			t.Fatalf("column %d (%s) declares %v, want string", i, c.Name, c.Kind)
+		}
+	}
 }
 
 func TestBindErrors(t *testing.T) {
 	cat := catalog.NewCatalog()
-	tpch.NewGenerator(0.001, 42).Load(cat, tpch.Lineitem)
+	tpch.NewGenerator(0.001, 42).Load(cat, tpch.Lineitem, tpch.Nation)
 
 	bad := []string{
 		"SELECT * FROM missing_table",
@@ -286,6 +305,11 @@ func TestBindErrors(t *testing.T) {
 		"SELECT l_quantity FROM lineitem GROUP BY l_orderkey",
 		"SELECT * FROM lineitem JOIN lineitem ON 1 = 1", // duplicate + no key
 		"SELECT * FROM lineitem ORDER BY l_quantity + 1",
+		// SUM and AVG accept only numeric arguments.
+		"SELECT n_regionkey, AVG(n_name) FROM nation GROUP BY n_regionkey",
+		"SELECT n_regionkey, SUM(n_name) FROM nation GROUP BY n_regionkey",
+		"SELECT SUM(l_shipdate) FROM lineitem",
+		"SELECT AVG(l_quantity < 5) FROM lineitem",
 	}
 	for _, q := range bad {
 		if _, err := Plan(cat, q); err == nil {

@@ -267,31 +267,3 @@ func OrderedRevenueQuery(cat *catalog.Catalog, maxQty int64) plan.Node {
 	)
 	return plan.NewSort(proj, plan.SortKey{Col: 0, Desc: true})
 }
-
-// OrderedRevenueWorkload builds n sort queries with distinct quantity
-// bounds (n ≤ 40 keeps every query selective below l_quantity's 1..50
-// domain while leaving real per-query sort work).
-func OrderedRevenueWorkload(cat *catalog.Catalog, n int) []plan.Node {
-	if n < 1 || n > 40 {
-		panic(fmt.Sprintf("tpch: ordered revenue workload size %d outside [1,40]", n))
-	}
-	out := make([]plan.Node, n)
-	for i := range out {
-		out[i] = OrderedRevenueQuery(cat, int64(50-i))
-	}
-	return out
-}
-
-// RevenueAggWorkload builds n aggregation queries with distinct quantity
-// bounds (n ≤ 40 keeps every query selective below l_quantity's 1..50
-// domain while leaving real per-query work).
-func RevenueAggWorkload(cat *catalog.Catalog, n int) []plan.Node {
-	if n < 1 || n > 40 {
-		panic(fmt.Sprintf("tpch: revenue agg workload size %d outside [1,40]", n))
-	}
-	out := make([]plan.Node, n)
-	for i := range out {
-		out[i] = RevenueByQuantityQuery(cat, int64(50-i))
-	}
-	return out
-}
